@@ -19,6 +19,7 @@ import pytest
 
 from repro.cache import FetchNextAdaptive, FetchNextFixed, LRUCache, PrefetchStrategy
 from repro.datagen import generate_base64
+from repro.deflate import window_at_end
 from repro.fetcher import GzipChunkFetcher
 from repro.gz.writer import compress as gz_compress
 from repro.io import BitReader
@@ -47,7 +48,7 @@ def drive_fetcher(blob: bytes, strategy, parallelization=3, chunk_size=48 * 1024
                 break
             window = (
                 b"" if result.end_is_stream_start
-                else result.payload.window_at_end(window)
+                else window_at_end(window, result.payload.materialize(window))
             )
             start = result.end_bit
         return fetcher.statistics()
@@ -99,7 +100,7 @@ def test_ablation_prefetch_cache_size(benchmark, reporter):
                 result = fetcher.request(start, window)
                 if result.end_bit is None:
                     break
-                window = result.payload.window_at_end(window)
+                window = window_at_end(window, result.payload.materialize(window))
                 start = result.end_bit
             return fetcher.statistics()
         finally:

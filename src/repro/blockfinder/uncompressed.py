@@ -23,11 +23,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..io import ensure_file_reader
-from .base import BlockFinder
+from .base import BlockFinder, scan_windows
 
 __all__ = ["UncompressedBlockFinder", "canonical_nc_offset", "scan_nc_candidates"]
 
-_SCAN_CHUNK = 1 << 20  # bytes per vectorized pass
+#: Largest window of positions one vectorized pass evaluates, in bytes.
+_MAX_WINDOW = 1 << 20
 
 
 def canonical_nc_offset(bit_offset: int) -> int:
@@ -55,8 +56,6 @@ def scan_nc_candidates(data: bytes, base_byte_offset: int = 0) -> np.ndarray:
     header_ok = (arr[:-4] & 0xE0) == 0
     matches = ((lens ^ nlens) == 0xFFFF) & header_ok
     positions = np.nonzero(matches)[0] + 1  # LEN sits at byte b = index+1
-    if base_byte_offset == 0:
-        positions = positions  # b >= 1 already guaranteed by the slicing
     return (positions + base_byte_offset) * 8 - 3
 
 
@@ -68,21 +67,18 @@ class UncompressedBlockFinder(BlockFinder):
 
     def find_next(self, bit_offset: int, until: int = None):
         size_bits = self._reader.size() * 8
-        limit = size_bits if until is None else min(until, size_bits)
-        position = max(bit_offset, 0)
-        while position < limit:
-            # Candidate at bit 8b-3 needs bytes [b-1, b+4); start scanning
-            # one byte before the position's byte.
-            start_byte = max((position + 3) // 8 - 1, 0)
-            data = self._reader.pread(start_byte, _SCAN_CHUNK + 4)
-            if len(data) < 5:
-                return None
-            candidates = scan_nc_candidates(data, base_byte_offset=start_byte)
-            candidates = candidates[(candidates >= position) & (candidates < limit)]
+        end = size_bits if until is None else min(until, size_bits)
+        for start, stop in scan_windows(max(bit_offset, 0), end, _MAX_WINDOW):
+            # A candidate at bit 8b-3 needs bytes [b-1, b+4): read from the
+            # byte before the first candidate's LEN through the last one's
+            # NLEN.
+            first_byte = max((start + 3) // 8 - 1, 0)
+            end_byte = (stop + 2) // 8 + 4
+            data = self._reader.pread(first_byte, end_byte - first_byte)
+            candidates = scan_nc_candidates(data, base_byte_offset=first_byte)
+            candidates = candidates[(candidates >= start) & (candidates < stop)]
             if candidates.size:
                 return int(candidates[0])
-            advanced = start_byte + len(data) - 4
-            position = max(position + 1, advanced * 8 - 3)
-            if len(data) < _SCAN_CHUNK + 4:
-                return None
+            if len(data) < end_byte - first_byte:
+                return None  # end of file
         return None

@@ -28,15 +28,15 @@ import numpy as np
 from ..deflate.block import read_block_header
 from ..errors import FormatError
 from ..io import BitReader, ensure_file_reader
-from .base import BlockFinder
+from .base import BlockFinder, scan_windows
 
 __all__ = ["VectorizedDynamicBlockFinder", "scan_dynamic_candidates"]
 
 #: Bits a candidate needs for the vectorized checks: 17 header bits plus
 #: 19 precode triplets.
 _PROBE_BITS = 17 + 19 * 3
-#: Bytes scanned per vectorized pass.
-_SCAN_CHUNK = 512 * 1024
+#: Largest window of positions one vectorized pass evaluates, in bytes.
+_MAX_WINDOW = 512 * 1024
 
 _HISTOGRAM_LUT_ARRAY = None
 
@@ -63,13 +63,13 @@ def scan_dynamic_candidates(data: bytes, start_bit: int, until_bit: int) -> np.n
     limit = min(until_bit, len(bits) - _PROBE_BITS)
     if limit <= start_bit:
         return np.empty(0, dtype=np.int64)
-    positions = np.arange(start_bit, limit, dtype=np.int64)
 
     # Stages 1-3: non-final, type 10 (LSB-first: 0 then 1), HLIT < 30.
-    mask = (bits[positions] == 0) & (bits[positions + 1] == 0) & (
-        bits[positions + 2] == 1
-    )
-    candidates = positions[mask]
+    # Shifted slices, not a gather per position: no per-position index
+    # array is ever built.
+    mask = (bits[start_bit:limit] == 0) & (bits[start_bit + 1 : limit + 1] == 0)
+    mask &= bits[start_bit + 2 : limit + 2] == 1
+    candidates = np.flatnonzero(mask) + start_bit
     if not candidates.size:
         return candidates
     hlit = np.zeros(len(candidates), dtype=np.int32)
@@ -133,19 +133,16 @@ class VectorizedDynamicBlockFinder(BlockFinder):
         self.candidates_tested = 0
 
     def find_next(self, bit_offset: int, until: int = None):
-        size_bits = self._file_reader.size() * 8
-        limit = size_bits - 8
+        end = self._file_reader.size() * 8 - 7
         if until is not None:
-            limit = min(limit, until - 1)
-        position = bit_offset
-        while position <= limit:
-            chunk_start_byte = position // 8
+            end = min(end, until)
+        for start, stop in scan_windows(bit_offset, end, _MAX_WINDOW):
+            base_bit = start // 8 * 8
             chunk = self._file_reader.pread(
-                chunk_start_byte, _SCAN_CHUNK + _PROBE_BITS // 8 + 8
+                start // 8, (stop - base_bit + _PROBE_BITS + 7) // 8
             )
-            base_bit = chunk_start_byte * 8
             candidates = scan_dynamic_candidates(
-                chunk, position - base_bit, limit + 1 - base_bit
+                chunk, start - base_bit, stop - base_bit
             )
             for candidate in candidates:
                 offset = int(candidate) + base_bit
@@ -158,13 +155,12 @@ class VectorizedDynamicBlockFinder(BlockFinder):
                     return offset
                 except FormatError:
                     continue
-            scanned_until = base_bit + len(chunk) * 8 - _PROBE_BITS
-            if len(chunk) < _SCAN_CHUNK:
+            probed_until = base_bit + len(chunk) * 8 - _PROBE_BITS
+            if probed_until < stop:
                 # Tail of the file: the probe window no longer fits, but a
                 # candidate might still hide in the last bits — let the
                 # scalar parser sweep them.
-                return self._scalar_tail(max(position, scanned_until), limit)
-            position = max(position + 1, scanned_until)
+                return self._scalar_tail(max(start, probed_until), end - 1)
         return None
 
     def _scalar_tail(self, position: int, limit: int):

@@ -36,6 +36,7 @@ from .markers import (
     seed_marker_window,
     seed_marker_window_u16,
     segment_has_markers,
+    window_at_end,
 )
 
 __all__ = [
@@ -71,6 +72,7 @@ __all__ = [
     "seed_marker_window",
     "seed_marker_window_u16",
     "segment_has_markers",
+    "window_at_end",
     "compress",
     "DeflateCompressor",
 ]

@@ -29,6 +29,7 @@ __all__ = [
     "segment_has_markers",
     "ChunkPayload",
     "pad_window",
+    "window_at_end",
 ]
 
 
@@ -75,6 +76,17 @@ def pad_window(window: bytes) -> bytes:
     if len(window) >= MAX_WINDOW_SIZE:
         return bytes(window[-MAX_WINDOW_SIZE:])
     return bytes(MAX_WINDOW_SIZE - len(window)) + bytes(window)
+
+
+def window_at_end(window: bytes, data: bytes) -> bytes:
+    """The 32 KiB window after ``data`` decoded on top of ``window``.
+
+    This is the next chunk's window, the sequential propagation step of
+    §2.2. ``data`` is already materialized, so only its last
+    :data:`MAX_WINDOW_SIZE` bytes are touched; a chunk shorter than that
+    shifts in the older window bytes from the left.
+    """
+    return pad_window(window + data[-MAX_WINDOW_SIZE:])
 
 
 def replace_markers(segment: np.ndarray, window: bytes) -> bytes:
@@ -159,28 +171,3 @@ class ChunkPayload:
             else:
                 pieces.append(segment)
         return b"".join(pieces)
-
-    def window_at_end(self, window: bytes = b"") -> bytes:
-        """The resolved final 32 KiB — the next chunk's window (stage-2 tail).
-
-        Only the trailing :data:`MAX_WINDOW_SIZE` symbols are touched; this
-        is the sequential propagation step whose cost the paper bounds at
-        1/128 of full replacement for 4 MiB chunks (§2.2).
-        """
-        padded = pad_window(window)
-        pieces = []
-        needed = MAX_WINDOW_SIZE
-        for segment in reversed(self.segments):
-            if needed <= 0:
-                break
-            tail = segment[-needed:]
-            if isinstance(tail, np.ndarray):
-                pieces.append(replace_markers(tail, padded))
-            else:
-                pieces.append(bytes(tail))
-            needed -= len(tail)
-        combined = b"".join(reversed(pieces))
-        if len(combined) < MAX_WINDOW_SIZE:
-            # Short chunk: older window bytes shift in from the left.
-            combined = (padded + combined)[-MAX_WINDOW_SIZE:]
-        return combined

@@ -896,22 +896,9 @@ class GzipChunkFetcher:
                     result = self._absorb(
                         future.result(timeout=self.chunk_timeout)
                     )
-            except TimeoutError:
-                self._chunk_timeouts.increment()
-                self._note_backend_failure("timeout")
-                continue
-            except WorkerCrashedError:
-                self._worker_crashes.increment()
-                self._note_backend_failure("crash")
-                continue
-            except IndexIntegrityError:
-                # Damaged lazy window: not shippable to a worker process;
-                # the serial rung below runs the in-process fallback.
-                break
-            except UsageError:
-                # Pool shut down / spec not shippable: go serial. Counted
-                # so the ladder's silent rung change shows up in --profile.
-                self._ladder_pool_unavailable.increment()
+            except Exception as error:
+                if self._classify_ladder_error(error, serial=False) == "retry":
+                    continue
                 break
             if result is not None:
                 return result
@@ -922,9 +909,9 @@ class GzipChunkFetcher:
             return self._decode_on_demand(
                 start_bit, chunk_id, window, attempt=attempt
             )
-        except UsageError:
-            raise  # caller bug, not a decode failure — report it as-is
         except Exception as error:
+            if self._classify_ladder_error(error, serial=True) == "raise":
+                raise
             raise ChunkDecodeError(
                 f"chunk {chunk_id} failed to decode at bit offset "
                 f"{start_bit} after {attempt} attempt(s) on the "
@@ -934,6 +921,30 @@ class GzipChunkFetcher:
                 attempts=attempt,
                 backend=self.backend,
             ) from error
+
+    def _classify_ladder_error(self, error: Exception, *, serial: bool) -> str:
+        """What the retry ladder does with a rung's failure.
+
+        ``"retry"``: a pool timeout or worker crash; resubmit to the pool.
+        ``"raise"``: a caller bug on the serial rung; report it as-is.
+        ``"fall"``: anything else; the pool rung drops to the serial rung,
+        and the serial rung wraps it in :class:`ChunkDecodeError`.
+        """
+        if serial:
+            return "raise" if isinstance(error, UsageError) else "fall"
+        if isinstance(error, TimeoutError):
+            self._chunk_timeouts.increment()
+            self._note_backend_failure("timeout")
+            return "retry"
+        if isinstance(error, WorkerCrashedError):
+            self._worker_crashes.increment()
+            self._note_backend_failure("crash")
+            return "retry"
+        if isinstance(error, UsageError):
+            # Pool shut down / spec not shippable. Counted so the ladder's
+            # silent rung change shows up in --profile.
+            self._ladder_pool_unavailable.increment()
+        return "fall"
 
     def _note_backend_failure(self, reason: str) -> None:
         """Record a crash/timeout; downgrade the backend when they pile up."""

@@ -168,7 +168,7 @@ class ProcessPool:
         self._queue: queue.PriorityQueue = queue.PriorityQueue()
         self._sequence = itertools.count()  # FIFO tie-breaker per priority
         self._task_ids = itertools.count()
-        self._worker_index = itertools.count(size)
+        self._worker_index = itertools.count()
         self._shutdown = False
         self._degraded = False
         self._respawns = 0

@@ -23,6 +23,7 @@ import time
 
 from ..blockfinder.pugz import PUGZ_MAX_BYTE, PUGZ_MIN_BYTE
 from ..cache import LRUCache, MemoryGovernor, SpillStore, parse_size
+from ..deflate import window_at_end
 from ..errors import (
     ChunkDecodeError,
     FormatError,
@@ -734,11 +735,20 @@ class ParallelGzipReader:
     def _decode_frontier_chunk(self) -> ChunkRecord:
         """Decode the chunk at the frontier and extend the chain."""
         start_bit, window, is_stream_start = self._frontier
+        # The envelope covers the whole chain advance: whatever no stage
+        # span inside it claims (record and index upkeep) is bookkeeping.
         with self.telemetry.recorder.span(
             "reader.decode_next_chunk", start_bit=start_bit
         ):
             result = self._fetcher.request(start_bit, window)
             data = self._materialize_result(result, window)
+            return self._advance_chain(
+                start_bit, window, is_stream_start, result, data
+            )
+
+    def _advance_chain(self, start_bit: int, window: bytes,
+                       is_stream_start: bool, result, data: bytes) -> ChunkRecord:
+        """Append the decoded chunk's record and move the frontier past it."""
         output_start = self._block_map.known_size
         record = ChunkRecord(
             start_bit=start_bit,
@@ -765,7 +775,7 @@ class ParallelGzipReader:
             if result.end_is_stream_start:
                 next_window = b""
             else:
-                next_window = result.payload.window_at_end(window)
+                next_window = window_at_end(window, data)
             self._frontier = (result.end_bit, next_window, result.end_is_stream_start)
             if not self._index.finalized:
                 self._index.add(

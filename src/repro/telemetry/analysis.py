@@ -28,7 +28,8 @@ and attributes its wall time across named stages:
 * ``bookkeeping`` — harvesting finished futures (absorbing worker
   results, merging child telemetry, cache insertion) plus the
   chain-advance bookkeeping inside ``decode_next_chunk`` not owned by a
-  more specific stage (cache probes, prefetch submission);
+  more specific stage (cache probes, prefetch submission, chunk record
+  and seek-point upkeep);
 * ``serve-copy`` — slicing decoded chunks into the caller's result
   buffer and joining the pieces;
 * ``other`` — the unexplained remainder (small by construction; a large

@@ -20,6 +20,7 @@ from repro.errors import (
     ChunkDecodeError,
     FormatError,
     IntegrityError,
+    NetworkError,
     RecoveryError,
     ReproError,
     UsageError,
@@ -275,6 +276,24 @@ class TestDecodeFaults:
         assert info.value.chunk_id is not None
         assert info.value.attempts >= 1
         assert isinstance(info.value.__cause__, InjectedError)
+
+    def test_pool_rung_error_falls_to_serial_rung_then_wraps(self):
+        # Any worker exception on the pool rung, not only timeouts and
+        # crashes, drops to the serial rung; when that fails too it
+        # surfaces wrapped, with the original error as the cause.
+        specs = [
+            FaultSpec("chunk.decode", "raise", error="network", attempts=None),
+            FaultSpec("chunk.on_demand", "raise", error="network",
+                      attempts=None),
+        ]
+        with injected(seed=CHAOS_SEED, specs=specs):
+            reader = ParallelGzipReader(
+                BLOB, parallelization=2, chunk_size=CHUNK, backend="processes"
+            )
+            with pytest.raises(ChunkDecodeError) as info:
+                _read_all(reader)
+        assert info.value.backend == "processes"
+        assert isinstance(info.value.__cause__, NetworkError)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from repro.cache import FetchNextFixed
+from repro.deflate import window_at_end
 from repro.errors import UsageError
 from repro.fetcher import (
     BlockMap,
@@ -94,7 +95,7 @@ class TestDecodeChunkRange:
         stop = start + 80_000 * 8
         first = decode_chunk_range(reader, start, stop, b"")
         assert first.end_bit is not None
-        window = first.payload.window_at_end(b"")
+        window = window_at_end(b"", first.payload.materialize(b""))
         second = decode_chunk_range(reader, first.end_bit, None, window)
         combined = first.payload.materialize(b"") + second.payload.materialize(window)
         assert combined == DATA
@@ -145,12 +146,13 @@ class TestGzipChunkFetcher:
             output = bytearray()
             while True:
                 result = fetcher.request(start, window)
-                output += result.payload.materialize(window)
+                data = result.payload.materialize(window)
+                output += data
                 if result.end_bit is None:
                     break
                 window = (
                     b"" if result.end_is_stream_start
-                    else result.payload.window_at_end(window)
+                    else window_at_end(window, data)
                 )
                 start = result.end_bit
             assert bytes(output) == DATA
@@ -163,7 +165,7 @@ class TestGzipChunkFetcher:
                 result = fetcher.request(start, window)
                 if result.end_bit is None:
                     break
-                window = result.payload.window_at_end(window)
+                window = window_at_end(window, result.payload.materialize(window))
                 start = result.end_bit
             stats = fetcher.statistics()
             assert stats["speculative_submitted"] > 0
@@ -187,10 +189,11 @@ class TestGzipChunkFetcher:
             output = bytearray()
             while True:
                 result = fetcher.request(start, window)
-                output += result.payload.materialize(window)
+                data = result.payload.materialize(window)
+                output += data
                 if result.end_bit is None:
                     break
-                window = result.payload.window_at_end(window)
+                window = window_at_end(window, data)
                 start = result.end_bit
             assert bytes(output) == noise
         finally:
