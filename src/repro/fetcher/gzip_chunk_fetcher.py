@@ -1100,6 +1100,12 @@ class GzipChunkFetcher:
             release_inherited_source(self._recipe_token)
             self._recipe_token = None
         self.file_reader.close()
+        # Drop decoded chunks now: the reader and fetcher reference each
+        # other, so without this the data lives until a cyclic collection.
+        self.prefetch_cache.clear()
+        self.access_cache.clear()
+        with self._lock:
+            self._futures.clear()
 
     def __enter__(self) -> "GzipChunkFetcher":
         return self

@@ -349,6 +349,7 @@ class ParallelGzipReader:
                 self._metrics_server.start()
             except Exception:
                 self._fetcher.close()
+                self._materialized.clear()
                 if self._spill is not None:
                     self._spill.close()
                 raise
@@ -1340,6 +1341,7 @@ class ParallelGzipReader:
                     self._metrics_server.stop()
                     self._metrics_server = None
                 self._fetcher.close()
+                self._materialized.clear()
                 if self._spill is not None:
                     self._spill.close()
                 self._closed = True

@@ -165,6 +165,20 @@ class TestReading:
         with pytest.raises(UsageError):
             reader.read(1)
 
+    def test_close_releases_decoded_chunks(self):
+        # The reader and its fetcher reference each other, so decoded
+        # chunks must be dropped at close, not at the next cyclic GC.
+        reader = self.reader(parallelization=2)
+        reader.read()
+        before = reader.statistics()
+        assert before["materialized_cache"]["entries"] > 0
+        reader.close()
+        after = reader.statistics()
+        for cache in ("materialized_cache", "prefetch_cache", "access_cache"):
+            assert after[cache]["entries"] == 0
+            assert after[cache]["current_bytes"] == 0
+        assert after["inflight_decodes"] == 0
+
     def test_file_like_properties(self):
         with self.reader() as reader:
             assert reader.readable()
